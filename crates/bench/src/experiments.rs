@@ -3,15 +3,13 @@
 //!
 //! Every builder here turns a hand-tuned experiment into a grid of cells —
 //! the engine owns seeding, parallelism, table rendering, and JSON
-//! emission. The legacy `Table`-returning wrappers (`table1_row1` …) are
-//! kept as the stable names `DESIGN.md` references; `EXPERIMENTS.md`
-//! records measured outcomes against the paper's claims.
+//! emission. `EXPERIMENTS.md` records measured outcomes against the
+//! paper's claims.
 
 use crate::scenario::{
-    run, run_trials, Cell, CellCtx, CellKind, ProtocolFactory, RegistryEntry, Scenario, TrialJob,
-    Value,
+    run_trials, Cell, CellCtx, CellKind, ProtocolFactory, RegistryEntry, Scenario, TrialJob, Value,
 };
-use crate::{AdversarySpec, Aggregate, Table, TopologySpec};
+use crate::{AdversarySpec, Aggregate, TopologySpec};
 use bdclique_bits::BitVec;
 use bdclique_codes::{ConcatenatedCode, Ldc, ReedSolomon, RepetitionCode, RmLdc, SymbolCode};
 use bdclique_core::cc::{MaxTwoPhase, SumAll, Transpose};
@@ -1579,82 +1577,4 @@ pub fn topologies(trials: usize) -> Scenario {
         ],
         cells,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy `Table`-returning wrappers: the stable experiment-id names that
-// `DESIGN.md` references, now thin shims over the scenario engine.
-// ---------------------------------------------------------------------------
-
-/// `T1.R1` rendered as a table (engine-backed).
-pub fn table1_row1(trials: usize) -> Table {
-    run(&t1r1(trials)).table()
-}
-
-/// `T1.R2` rendered as a table (engine-backed).
-pub fn table1_row2(trials: usize) -> Table {
-    run(&t1r2(trials)).table()
-}
-
-/// `T1.R3` rendered as a table (engine-backed).
-pub fn table1_row3(trials: usize) -> Table {
-    run(&t1r3(trials)).table()
-}
-
-/// `T1.R4` rendered as a table (engine-backed).
-pub fn table1_row4(trials: usize) -> Table {
-    run(&t1r4(trials)).table()
-}
-
-/// `F.ROUTE` — both routing tables (engine-backed).
-pub fn routing_threshold() -> Vec<Table> {
-    vec![
-        run(&route_margin(1)).table(),
-        run(&route_engines(1)).table(),
-    ]
-}
-
-/// `F.MATCH` rendered as a table (engine-backed).
-pub fn matching_separation(trials: usize) -> Table {
-    run(&matching(trials)).table()
-}
-
-/// `F.FREE` rendered as a table (engine-backed).
-pub fn frontier(trials: usize) -> Table {
-    run(&frontier_scenario(trials)).table()
-}
-
-/// `F.COMPILE` rendered as a table (engine-backed).
-pub fn compiler_overhead() -> Table {
-    run(&compiler(1)).table()
-}
-
-/// `A.CODE` rendered as a table (engine-backed; runs `8 × trials`).
-pub fn ablation_codes(trials: usize) -> Table {
-    run(&codes(trials)).table()
-}
-
-/// `A.LDC` rendered as a table (engine-backed; runs `4 × trials`).
-pub fn ablation_ldc(trials: usize) -> Table {
-    run(&ldc(trials)).table()
-}
-
-/// `A.SKETCH` rendered as a table (engine-backed; runs `20 × trials`).
-pub fn ablation_sketch(trials: usize) -> Table {
-    run(&sketch(trials)).table()
-}
-
-/// `A.CFREE` rendered as a table (engine-backed).
-pub fn ablation_coverfree() -> Table {
-    run(&cfree(1)).table()
-}
-
-/// `A.QUERYPATH` rendered as a table (engine-backed).
-pub fn ablation_querypath(trials: usize) -> Table {
-    run(&querypath(trials)).table()
-}
-
-/// `S.LARGE-N` rendered as a table (engine-backed).
-pub fn large_n_smoke() -> Table {
-    run(&largen(1)).table()
 }

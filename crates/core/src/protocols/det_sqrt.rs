@@ -28,8 +28,8 @@ use std::borrow::Cow;
 ///
 /// At large `n` the cover-free margin for `k = √n` is infeasible, so the
 /// waves run on the *stage-parallel unit engine* (`O(√n)` stages whose
-/// per-pack encode/decode fan out across threads — see
-/// [`crate::routing::unit`]); that is what carries this protocol to
+/// per-pack encode/decode fan out across threads — see [`crate::routing`]);
+/// that is what carries this protocol to
 /// `n = 4096` in the `alpha-largen` scenario. Pass a
 /// [`RouterConfig`] with [`crate::routing::RoutingMode::Unit`] there to
 /// skip the (provably failing, and at `k = 64` expensive) cover-free

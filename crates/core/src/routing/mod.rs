@@ -2,35 +2,37 @@
 //!
 //! An instance consists of super-messages, each identified by `(src, slot)`
 //! with a payload of at most `payload_bits` bits and a target list known to
-//! all nodes. Two execution engines implement the same contract:
+//! all nodes. One pack pipeline (`pack`) runs the two-round scatter/gather
+//! for two plans:
 //!
-//! * [`mod@unit`] — the *scheduled unit-instance* engine: messages are greedily
+//! * the *scheduled unit-instance* plan (`unit`): messages are greedily
 //!   colored into stages so that each stage has per-node source- and
 //!   target-multiplicity 1, and every stage scatters one Reed–Solomon
-//!   codeword symbol per relay node. Maximal decode margin
-//!   (`2·⌊αn⌋` errors against a radius of `(L-k)/2`), round cost
-//!   `O(stages · chunks)`.
-//! * [`coverfree`] — the paper's Section 4.2 engine: all `k` messages per
-//!   node route *simultaneously* through a `(k-1, δ)`-cover-free family of
-//!   receiver sets with the `InLoad`/`OutLoad` = 1 filters; overlap
+//!   codeword symbol per relay node. Maximal decode margin (`2·⌊αn⌋` errors
+//!   against a radius of `(L-k)/2`), round cost `O(stages · chunks)`.
+//! * the paper's Section 4.2 *cover-free* plan (`coverfree`): all `k`
+//!   messages per node route *simultaneously* through a `(k-1, δ)`-cover-free
+//!   family of receiver sets with the `InLoad`/`OutLoad` = 1 filters; overlap
 //!   positions become *known erasures* (our erasure-aware refinement of
 //!   Lemma 4.6). Round cost `O(chunks)` — constant in `k` — at the price of
 //!   a tighter decode margin.
 //!
-//! [`route`] picks the engine per [`RouterConfig::mode`]; `Auto` uses the
-//! cover-free engine whenever its margin validates and falls back to unit
+//! [`route`] picks the plan per [`RouterConfig::mode`]; `Auto` uses the
+//! cover-free plan whenever its margin validates and falls back to unit
 //! scheduling otherwise, which mirrors how the paper trades the two (its
 //! constants make the cover-free margin positive only asymptotically; see
 //! `DESIGN.md`, substitution 4).
 
-pub mod coverfree;
-pub mod unit;
+mod coverfree;
+mod pack;
+mod unit;
 
 use crate::error::CoreError;
 use bdclique_bits::BitVec;
 use bdclique_codes::{BitCode, ReedSolomon, SymbolCode};
 use bdclique_netsim::Network;
 use bdclique_snapshot::{Dec, Enc, SnapError};
+use pack::PackSession;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -181,11 +183,10 @@ pub enum RoutingMode {
 pub struct RouterConfig {
     /// Engine selection.
     pub mode: RoutingMode,
-    /// Fan the per-pack encode (round-A frame assembly) and decode (round-B
-    /// erasure decoding) out across the rayon thread pool. Bit-identical to
-    /// the serial path (`false` — the oracle behind
-    /// [`unit::route_unit_serial`] / [`coverfree::route_coverfree_serial`]);
-    /// network rounds themselves stay strictly sequential either way.
+    /// Fan the per-pack encode, relay gather, forward planning and decode
+    /// out across the rayon thread pool. `false` runs them on one thread:
+    /// the bit-identity oracle for the parallel path. Network rounds stay
+    /// strictly sequential either way.
     pub parallel: bool,
     /// Run the session on the **event-driven pack executor**: round-A
     /// codeword encoding and frame assembly for upcoming packs run ahead of
@@ -209,7 +210,7 @@ pub struct RouterConfig {
     pub extra_error_slack: usize,
     /// Cover-free engine: ground-group size (elements per group); the
     /// receiver-set size is `n / group_size`. `None` picks
-    /// `max(4, 2·k)` where `k` is the instance's multiplicity.
+    /// `max(4, 8·(k−1))` where `k` is the instance's multiplicity.
     pub cf_group_size: Option<usize>,
     /// Cover-free engine: maximum acceptable verified cover fraction δ.
     pub cf_delta: f64,
@@ -248,7 +249,8 @@ pub struct RoutingReport {
     pub engine: EngineUsed,
     /// Network rounds consumed.
     pub rounds: u64,
-    /// Unit engine: number of stages scheduled (1 for cover-free).
+    /// Unit engine: number of stages scheduled (1 for cover-free, 0 for
+    /// an instance without messages).
     pub stages: usize,
     /// Payload chunks per message.
     pub chunks: usize,
@@ -271,17 +273,73 @@ pub struct RoutingOutput {
 /// A routing call in flight: one [`RouteSession::step`] advances exactly one
 /// network `exchange`, so callers (protocol sessions, the driver) can observe
 /// or intervene between rounds. Engine selection and feasibility validation
-/// happen at construction, before any round runs — exactly as [`route`]
-/// behaved, which is now a thin loop over this type. Codewords are encoded
-/// lazily, per pack, optionally through a shared [`CodewordCache`]
-/// ([`RouteSession::new_cached`]).
+/// happen at construction, before any round runs — [`route`] is a thin loop
+/// over this type. Codewords are encoded lazily, per pack, optionally
+/// through a shared [`CodewordCache`] ([`RouteSession::new_cached`]).
 pub struct RouteSession<'i> {
     engine: EngineSession<'i>,
 }
 
 enum EngineSession<'i> {
-    Unit(unit::UnitSession<'i>),
-    CoverFree(coverfree::CfSession<'i>),
+    /// Zero messages on `n` nodes: no feasibility constraint can apply to
+    /// an instance that routes nothing, so the output is known up front and
+    /// the first step returns it without running a round.
+    Empty(usize, Option<RoutingOutput>),
+    Unit(PackSession<'i, unit::UnitPlan>),
+    CoverFree(PackSession<'i, coverfree::CfPlan>),
+}
+
+/// The checks every engine shares, run before any plan is built: instance
+/// shape, the complete topology (both plans use every node as a potential
+/// relay), the symbol width, and — for a non-empty instance — a bandwidth
+/// that fits one wire slot.
+fn preflight(
+    net: &Network,
+    instance: &RoutingInstance,
+    cfg: &RouterConfig,
+) -> Result<(), CoreError> {
+    instance.validate()?;
+    if instance.n != net.n() {
+        return Err(CoreError::invalid("instance size != network size"));
+    }
+    if !net.topology().is_complete() {
+        return Err(CoreError::infeasible(
+            "super-message routing requires the complete topology (K_n): the \
+             scatter/gather pattern uses every node as a relay"
+                .to_string(),
+        ));
+    }
+    if !(2..=8).contains(&cfg.symbol_bits) {
+        return Err(CoreError::invalid("symbol_bits must be in 2..=8"));
+    }
+    let slot = cfg.symbol_bits as usize + 1;
+    if !instance.messages.is_empty() && net.bandwidth() < slot {
+        return Err(CoreError::infeasible(format!(
+            "bandwidth {} < wire slot {slot} (symbol + validity bit)",
+            net.bandwidth()
+        )));
+    }
+    Ok(())
+}
+
+impl EngineSession<'_> {
+    fn empty(n: usize, cfg: &RouterConfig, finished: bool) -> Self {
+        let engine = match cfg.mode {
+            RoutingMode::CoverFree => EngineUsed::CoverFree,
+            RoutingMode::Auto | RoutingMode::Unit => EngineUsed::Unit,
+        };
+        let output = RoutingOutput {
+            delivered: vec![BTreeMap::new(); n],
+            report: RoutingReport {
+                engine,
+                rounds: 0,
+                stages: 0,
+                chunks: 0,
+                decode_failures: 0,
+            },
+        };
+        EngineSession::Empty(n, (!finished).then_some(output))
+    }
 }
 
 impl RouteSession<'static> {
@@ -299,7 +357,7 @@ impl RouteSession<'static> {
         instance: RoutingInstance,
         cfg: &RouterConfig,
     ) -> Result<Self, CoreError> {
-        Self::with_instance(net, std::borrow::Cow::Owned(instance), cfg, None)
+        Self::with_instance(net, Cow::Owned(instance), cfg, None)
     }
 
     /// [`RouteSession::new`] with a shared [`CodewordCache`]: chunks whose
@@ -318,7 +376,7 @@ impl RouteSession<'static> {
         cfg: &RouterConfig,
         cache: SharedCodewordCache,
     ) -> Result<Self, CoreError> {
-        Self::with_instance(net, std::borrow::Cow::Owned(instance), cfg, Some(cache))
+        Self::with_instance(net, Cow::Owned(instance), cfg, Some(cache))
     }
 }
 
@@ -334,51 +392,40 @@ impl<'i> RouteSession<'i> {
         instance: &'i RoutingInstance,
         cfg: &RouterConfig,
     ) -> Result<Self, CoreError> {
-        Self::with_instance(net, std::borrow::Cow::Borrowed(instance), cfg, None)
+        Self::with_instance(net, Cow::Borrowed(instance), cfg, None)
     }
 
     fn with_instance(
         net: &Network,
-        instance: std::borrow::Cow<'i, RoutingInstance>,
+        instance: Cow<'i, RoutingInstance>,
         cfg: &RouterConfig,
         cache: Option<SharedCodewordCache>,
     ) -> Result<Self, CoreError> {
-        instance.validate()?;
-        if instance.n != net.n() {
-            return Err(CoreError::invalid("instance size != network size"));
+        preflight(net, &instance, cfg)?;
+        if instance.messages.is_empty() {
+            let engine = EngineSession::empty(instance.n, cfg, false);
+            return Ok(Self { engine });
         }
-        // Both engines scatter codeword symbols through *every* node as a
-        // relay, so they are defined only on the complete topology; on a
-        // sparse graph the whole routed stack (and everything built on it)
-        // reports infeasibility instead of silently dropping frames.
-        if !net.topology().is_complete() {
-            return Err(CoreError::infeasible(
-                "super-message routing requires the complete topology (K_n): the \
-                 scatter/gather pattern uses every node as a relay"
-                    .to_string(),
-            ));
-        }
-        let engine = match cfg.mode {
-            RoutingMode::Unit => {
-                EngineSession::Unit(unit::UnitSession::new(net, instance, cfg)?.with_cache(cache))
-            }
-            RoutingMode::CoverFree => EngineSession::CoverFree(
-                coverfree::CfSession::new(net, instance, cfg)?.with_cache(cache),
-            ),
+        let cover_free = match cfg.mode {
+            RoutingMode::Unit => None,
+            RoutingMode::CoverFree => Some(coverfree::CfPlan::new(net, &instance, cfg)?),
             // Auto probes the cover-free margin first (all its infeasibility
-            // checks live in parameter derivation, before any round), and
-            // falls back to unit scheduling while keeping ownership of the
-            // instance.
-            RoutingMode::Auto => match coverfree::derive_params(net, &instance, cfg) {
-                Ok(params) => EngineSession::CoverFree(
-                    coverfree::CfSession::from_params(net, instance, cfg, params)?
-                        .with_cache(cache),
-                ),
-                Err(CoreError::Infeasible { .. }) => EngineSession::Unit(
-                    unit::UnitSession::new(net, instance, cfg)?.with_cache(cache),
-                ),
+            // checks live in plan construction, before any round), and falls
+            // back to unit scheduling.
+            RoutingMode::Auto => match coverfree::CfPlan::new(net, &instance, cfg) {
+                Ok(plan) => Some(plan),
+                Err(CoreError::Infeasible { .. }) => None,
                 Err(e) => return Err(e),
             },
+        };
+        let engine = match cover_free {
+            Some(plan) => {
+                EngineSession::CoverFree(PackSession::new(net, instance, cfg, plan, cache))
+            }
+            None => {
+                let plan = unit::UnitPlan::new(net, &instance, cfg)?;
+                EngineSession::Unit(PackSession::new(net, instance, cfg, plan, cache))
+            }
         };
         Ok(Self { engine })
     }
@@ -392,6 +439,10 @@ impl<'i> RouteSession<'i> {
     /// Propagates engine errors ([`CoreError`]).
     pub fn step(&mut self, net: &mut Network) -> Result<Option<RoutingOutput>, CoreError> {
         match &mut self.engine {
+            EngineSession::Empty(_, output) => output
+                .take()
+                .map(Some)
+                .ok_or_else(|| CoreError::invalid("routing session stepped after completion")),
             EngineSession::Unit(s) => s.step(net),
             EngineSession::CoverFree(s) => s.step(net),
         }
@@ -409,14 +460,24 @@ impl<'i> RouteSession<'i> {
     /// non-quiesceable state can decline.
     pub(crate) fn snapshot(&mut self, net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
         match &mut self.engine {
+            EngineSession::Empty(n, output) => {
+                enc.put_u8(2);
+                RoutingInstance {
+                    n: *n,
+                    payload_bits: 0,
+                    messages: Vec::new(),
+                }
+                .snapshot(enc);
+                enc.put_bool(output.is_none());
+            }
             EngineSession::Unit(s) => {
                 enc.put_u8(0);
-                s.instance_ref().snapshot(enc);
+                s.instance().snapshot(enc);
                 s.snapshot_state(net, enc);
             }
             EngineSession::CoverFree(s) => {
                 enc.put_u8(1);
-                s.instance_ref().snapshot(enc);
+                s.instance().snapshot(enc);
                 s.snapshot_state(net, enc);
             }
         }
@@ -426,8 +487,8 @@ impl<'i> RouteSession<'i> {
     /// Reopens a session from state written by [`RouteSession::snapshot`].
     /// The engine recorded in the snapshot is rebuilt directly (no Auto
     /// re-probe, so a borderline margin cannot flip engines across a
-    /// restore), its derived plan re-computed from `cfg` and the decoded
-    /// instance, and the dynamic state overlaid.
+    /// restore), its plan re-derived from `cfg` and the decoded instance,
+    /// and the dynamic state overlaid.
     ///
     /// # Errors
     ///
@@ -441,22 +502,21 @@ impl<'i> RouteSession<'i> {
     ) -> Result<RouteSession<'static>, CoreError> {
         let tag = dec.get_u8()?;
         let instance = RoutingInstance::restore(dec)?;
-        instance.validate()?;
-        if instance.n != net.n() {
-            return Err(CoreError::invalid(
-                "snapshot: instance size != network size",
-            ));
-        }
-        if !net.topology().is_complete() {
-            return Err(CoreError::infeasible(
-                "super-message routing requires the complete topology (K_n)".to_string(),
-            ));
-        }
+        preflight(net, &instance, cfg)?;
         let engine = match tag {
-            0 => EngineSession::Unit(unit::UnitSession::restore(net, instance, cfg, cache, dec)?),
-            1 => EngineSession::CoverFree(coverfree::CfSession::restore(
-                net, instance, cfg, cache, dec,
-            )?),
+            0 => {
+                let plan = unit::UnitPlan::new(net, &instance, cfg)?;
+                EngineSession::Unit(PackSession::restore(net, instance, cfg, plan, cache, dec)?)
+            }
+            1 => {
+                let plan = coverfree::CfPlan::new(net, &instance, cfg)?;
+                EngineSession::CoverFree(PackSession::restore(
+                    net, instance, cfg, plan, cache, dec,
+                )?)
+            }
+            2 if instance.messages.is_empty() => {
+                EngineSession::empty(instance.n, cfg, dec.get_bool()?)
+            }
             t => return Err(CoreError::invalid(format!("snapshot: engine tag {t}"))),
         };
         Ok(RouteSession { engine })
@@ -484,61 +544,6 @@ pub fn route(
     }
 }
 
-/// [`route`] on one thread: the bit-identity oracle for the stage-parallel
-/// engines (same pattern as `compile` vs `compile_serial`).
-///
-/// # Errors
-///
-/// As [`route`].
-pub fn route_serial(
-    net: &mut Network,
-    instance: &RoutingInstance,
-    cfg: &RouterConfig,
-) -> Result<RoutingOutput, CoreError> {
-    let cfg = RouterConfig {
-        parallel: false,
-        ..cfg.clone()
-    };
-    route(net, instance, &cfg)
-}
-
-/// An engine's instance handle: borrowed (the zero-copy [`route`] path) or
-/// behind an `Arc` so event-driven background jobs can hold the instance
-/// across packs. Owned instances move behind the `Arc` for free; a borrowed
-/// instance is cloned only when event mode actually needs owned data.
-pub(crate) enum Inst<'i> {
-    Borrowed(&'i RoutingInstance),
-    Shared(std::sync::Arc<RoutingInstance>),
-}
-
-impl std::ops::Deref for Inst<'_> {
-    type Target = RoutingInstance;
-
-    fn deref(&self) -> &RoutingInstance {
-        match self {
-            Inst::Borrowed(i) => i,
-            Inst::Shared(i) => i,
-        }
-    }
-}
-
-impl<'i> Inst<'i> {
-    pub(crate) fn from_cow(cow: Cow<'i, RoutingInstance>, event: bool) -> Self {
-        match cow {
-            Cow::Owned(i) => Inst::Shared(std::sync::Arc::new(i)),
-            Cow::Borrowed(i) if event => Inst::Shared(std::sync::Arc::new(i.clone())),
-            Cow::Borrowed(i) => Inst::Borrowed(i),
-        }
-    }
-
-    pub(crate) fn shared(&self) -> std::sync::Arc<RoutingInstance> {
-        match self {
-            Inst::Shared(i) => i.clone(),
-            Inst::Borrowed(_) => unreachable!("event mode always holds a shared instance"),
-        }
-    }
-}
-
 /// Maps `f` over work units, fanned out across the rayon pool or on one
 /// thread, always collecting in input order — the single switch point
 /// between the engines' parallel paths and their serial oracles, so the two
@@ -555,19 +560,6 @@ where
     } else {
         items.into_iter().map(f).collect()
     }
-}
-
-/// Reads lane `lane`'s symbol out of a wire frame, `None` when the frame is
-/// too short or its validity bit is clear. Shared wire format of both
-/// engines: `lanes` slots of `slot = symbol_bits + 1` bits, validity first.
-pub(crate) fn lane_symbol(
-    frame: &bdclique_bits::BitVec,
-    lane: usize,
-    slot: usize,
-    symbol_bits: u32,
-) -> Option<u16> {
-    (frame.len() >= (lane + 1) * slot && frame.get(lane * slot))
-        .then(|| frame.read_uint(lane * slot + 1, symbol_bits) as u16)
 }
 
 /// Adversarial symbols per codeword a session must absorb at the network's
@@ -732,155 +724,63 @@ pub(crate) fn payload_chunk(payload: &BitVec, chunk: usize, cap: usize) -> BitVe
     bits
 }
 
-/// Encodes `jobs` (outer: work unit, inner: that unit's chunks) into
-/// codewords, fanning the units out via [`map_units`]. With a cache, all
-/// chunks are probed under one lock acquisition first, only misses are
-/// encoded, and fresh codewords are inserted under a second lock — the
-/// parallel section never touches the mutex. Encoding is deterministic, so
-/// the result is bit-identical with or without the cache, parallel or not.
+/// Encodes `chunks` into codewords, fanned out via [`map_units`]. With a
+/// cache, all chunks are probed under one lock acquisition first, only
+/// misses are encoded, and fresh codewords are inserted under a second lock
+/// — the parallel section never touches the mutex. Encoding is
+/// deterministic, so the result is bit-identical with or without the cache,
+/// parallel or not.
 pub(crate) fn encode_chunks(
     parallel: bool,
     code: &ReedSolomon,
     cache: Option<&SharedCodewordCache>,
-    jobs: Vec<Vec<BitVec>>,
-) -> Result<Vec<Vec<Vec<u16>>>, CoreError> {
+    chunks: Vec<BitVec>,
+) -> Result<Vec<Vec<u16>>, CoreError> {
     let encode = |bits: &BitVec| {
         code.encode_bits(bits)
             .map_err(|e| CoreError::invalid(format!("encode: {e}")))
     };
     let Some(cache) = cache else {
-        let encoded: Vec<Result<Vec<Vec<u16>>, CoreError>> =
-            map_units(parallel, jobs, |unit| unit.iter().map(encode).collect());
-        return encoded.into_iter().collect();
+        return map_units(parallel, chunks, |bits| encode(&bits))
+            .into_iter()
+            .collect();
     };
 
     // Probe pass: one lock acquisition for the whole pack.
-    let probed: Vec<Vec<(BitVec, Option<Vec<u16>>)>> = {
+    let probed: Vec<(BitVec, Option<Vec<u16>>)> = {
         let mut c = cache.lock().expect("codeword cache poisoned");
-        jobs.into_iter()
-            .map(|unit| {
-                unit.into_iter()
-                    .map(|bits| {
-                        let hit = c.get(code, &bits);
-                        (bits, hit)
-                    })
-                    .collect()
+        chunks
+            .into_iter()
+            .map(|bits| {
+                let hit = c.get(code, &bits);
+                (bits, hit)
             })
             .collect()
     };
 
-    // Encode the misses, fanned out; collect fresh codewords per unit.
-    type UnitEncoded = Result<(Vec<Vec<u16>>, Vec<(BitVec, Vec<u16>)>), CoreError>;
-    let encoded: Vec<UnitEncoded> = map_units(parallel, probed, |unit| {
-        let mut syms = Vec::with_capacity(unit.len());
-        let mut fresh = Vec::new();
-        for (bits, hit) in unit {
-            match hit {
-                Some(cw) => syms.push(cw),
-                None => {
-                    let cw = encode(&bits)?;
-                    fresh.push((bits, cw.clone()));
-                    syms.push(cw);
-                }
-            }
-        }
-        Ok((syms, fresh))
+    // Encode the misses, fanned out; fresh codewords keep their chunk.
+    type Encoded = Result<(Vec<u16>, Option<BitVec>), CoreError>;
+    let encoded: Vec<Encoded> = map_units(parallel, probed, |(bits, hit)| match hit {
+        Some(cw) => Ok((cw, None)),
+        None => Ok((encode(&bits)?, Some(bits))),
     });
 
     let mut out = Vec::with_capacity(encoded.len());
-    let mut to_insert = Vec::new();
+    let mut fresh = Vec::new();
     for unit in encoded {
-        let (syms, fresh) = unit?;
-        out.push(syms);
-        to_insert.extend(fresh);
+        let (cw, bits) = unit?;
+        if let Some(bits) = bits {
+            fresh.push((bits, cw.clone()));
+        }
+        out.push(cw);
     }
-    if !to_insert.is_empty() {
+    if !fresh.is_empty() {
         let mut c = cache.lock().expect("codeword cache poisoned");
-        for (bits, cw) in to_insert {
+        for (bits, cw) in fresh {
             c.insert(code, bits, cw);
         }
     }
     Ok(out)
-}
-
-/// Dense relay holdings for one pack, flattened into a single contiguous
-/// buffer: block-major (`block` is the relay `w` for the unit engine, the
-/// lane for the cover-free engine), with per-row offsets shared by every
-/// block. Replaces the former `Vec<Vec<Vec<Option<u16>>>>` tables — the
-/// round-B forward-planning and decode loops walk `syms` linearly instead
-/// of chasing two levels of pointers per symbol.
-///
-/// Absent symbols (erasures) are stored as [`RelayGrid::ABSENT`]; valid
-/// symbols are field elements `< 2^8 ≤ 255`, so the sentinel is
-/// unambiguous.
-pub(crate) struct RelayGrid {
-    syms: Vec<u16>,
-    /// `row_offsets[row]` is the row's start within a block;
-    /// `row_offsets[rows]` is the block stride.
-    row_offsets: Vec<usize>,
-}
-
-impl RelayGrid {
-    /// Sentinel for "relay holds nothing here" (a downstream erasure).
-    pub(crate) const ABSENT: u16 = u16::MAX;
-
-    /// Assembles per-block flat rows (each `row_offsets.last()` long,
-    /// already sentinel-filled) produced by a [`map_units`] fan-out.
-    pub(crate) fn from_blocks(blocks: Vec<Vec<u16>>, row_offsets: Vec<usize>) -> Self {
-        let stride = row_offsets.last().copied().unwrap_or(0);
-        let mut syms = Vec::with_capacity(blocks.len() * stride);
-        for block in blocks {
-            debug_assert_eq!(block.len(), stride);
-            syms.extend_from_slice(&block);
-        }
-        Self { syms, row_offsets }
-    }
-
-    /// Uniform row offsets (`rows` rows of `width` positions each), for
-    /// grids whose rows all have the same length.
-    pub(crate) fn uniform_offsets(rows: usize, width: usize) -> Vec<usize> {
-        (0..=rows).map(|r| r * width).collect()
-    }
-
-    #[inline]
-    fn stride(&self) -> usize {
-        self.row_offsets.last().copied().unwrap_or(0)
-    }
-
-    /// The symbol at `(block, row, pos)`, `None` when absent.
-    #[inline]
-    pub(crate) fn get(&self, block: usize, row: usize, pos: usize) -> Option<u16> {
-        let s = self.syms[block * self.stride() + self.row_offsets[row] + pos];
-        (s != Self::ABSENT).then_some(s)
-    }
-
-    /// Serializes the grid (a mid-pack snapshot holds one between round A
-    /// and round B).
-    pub(crate) fn snapshot(&self, enc: &mut Enc) {
-        enc.put_seq(&self.row_offsets, |e, &o| e.put_usize(o));
-        enc.put_seq(&self.syms, |e, &s| e.put_u16(s));
-    }
-
-    /// Decodes a grid written by [`RelayGrid::snapshot`].
-    pub(crate) fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let row_offsets = dec.get_seq(8, Dec::get_usize)?;
-        let monotonic_from_zero = row_offsets.first().is_none_or(|&o| o == 0)
-            && row_offsets.windows(2).all(|w| w[0] <= w[1]);
-        if !monotonic_from_zero {
-            return Err(SnapError::corrupt(
-                "relay grid offsets not monotonic from 0",
-            ));
-        }
-        let syms = dec.get_seq(2, Dec::get_u16)?;
-        let stride = row_offsets.last().copied().unwrap_or(0);
-        if stride > 0 && !syms.len().is_multiple_of(stride) {
-            return Err(SnapError::corrupt(format!(
-                "relay grid of {} symbols not a multiple of stride {stride}",
-                syms.len()
-            )));
-        }
-        Ok(Self { syms, row_offsets })
-    }
 }
 
 /// Per-node delivered payloads: `delivered[v]` maps `(src, slot)` to bits.
@@ -926,21 +826,6 @@ pub(crate) fn restore_delivered(dec: &mut Dec<'_>) -> Result<DeliveredMaps, Snap
         out.push(map);
     }
     Ok(out)
-}
-
-/// The placeholder code for a zero-message session (nothing is encoded or
-/// decoded, so only the symbol width must be representable), plus its wire
-/// slot width. Shared by both engines' empty-instance guards.
-pub(crate) fn empty_instance_code(
-    cfg: &RouterConfig,
-) -> Result<(bdclique_codes::ReedSolomon, usize), CoreError> {
-    let m = cfg.symbol_bits;
-    if !(2..=8).contains(&m) {
-        return Err(CoreError::invalid("symbol_bits must be in 2..=8"));
-    }
-    let code = bdclique_codes::ReedSolomon::new(m, 2, 1)
-        .map_err(|e| CoreError::invalid(format!("RS construction: {e}")))?;
-    Ok((code, m as usize + 1))
 }
 
 #[cfg(test)]
@@ -1005,24 +890,6 @@ mod tests {
         cache.insert(&code, bits.clone(), cw.clone());
         cache.insert(&code, bits.clone(), cw.clone());
         assert_eq!(cache.resident_symbols(), cw.len());
-    }
-
-    #[test]
-    fn relay_grid_roundtrips_ragged_rows() {
-        // Two blocks, rows of widths 2 and 3 (offsets [0, 2, 5]).
-        let offsets = vec![0usize, 2, 5];
-        let blocks = vec![
-            vec![7, RelayGrid::ABSENT, 1, 2, 3],
-            vec![RelayGrid::ABSENT, 9, 4, RelayGrid::ABSENT, 6],
-        ];
-        let grid = RelayGrid::from_blocks(blocks, offsets);
-        assert_eq!(grid.get(0, 0, 0), Some(7));
-        assert_eq!(grid.get(0, 0, 1), None);
-        assert_eq!(grid.get(0, 1, 2), Some(3));
-        assert_eq!(grid.get(1, 0, 1), Some(9));
-        assert_eq!(grid.get(1, 1, 0), Some(4));
-        assert_eq!(grid.get(1, 1, 1), None);
-        assert_eq!(grid.get(1, 1, 2), Some(6));
     }
 
     #[test]
@@ -1168,5 +1035,67 @@ mod tests {
         }
         let (_, misses) = cache.lock().unwrap().stats();
         assert!(misses > 0, "the lazy path must have probed the cache");
+    }
+
+    /// A session snapshotted after round A (step 1) or after round B
+    /// (step 2) and restored onto the same network finishes with the
+    /// output, stats and report of an uninterrupted run — on both plans,
+    /// lockstep and event-driven, under attack.
+    #[test]
+    fn snapshot_restore_at_both_step_boundaries() {
+        use bdclique_adversary::adaptive::GreedyLoad;
+        use bdclique_adversary::Payload;
+        let n = 128;
+        let instance = RoutingInstance {
+            n,
+            payload_bits: 200,
+            messages: (0..n)
+                .flat_map(|u| (0..2).map(move |j| (u, j)))
+                .map(|(u, j)| SuperMessage {
+                    src: u,
+                    slot: j,
+                    payload: BitVec::from_fn(200, |i| (i * 3 + u + j) % 7 < 3),
+                    targets: vec![(u + 9 * j + 1) % n],
+                })
+                .collect(),
+        };
+        for mode in [RoutingMode::Unit, RoutingMode::CoverFree] {
+            for event_driven in [false, true] {
+                let cfg = RouterConfig {
+                    mode,
+                    event_driven,
+                    ..RouterConfig::default()
+                };
+                let run = |stop: Option<usize>| {
+                    let adversary = Adversary::adaptive(GreedyLoad::new(Payload::Flip, 7));
+                    let mut net = Network::new(n, 9, 1.2 / n as f64, adversary);
+                    let mut session = RouteSession::borrowed(&net, &instance, &cfg).unwrap();
+                    for step in 0.. {
+                        if Some(step) == stop {
+                            let mut enc = Enc::new();
+                            session.snapshot(&mut net, &mut enc).unwrap();
+                            let bytes = enc.into_bytes();
+                            let mut dec = Dec::new(&bytes);
+                            session = RouteSession::restore(&net, &cfg, None, &mut dec).unwrap();
+                            dec.finish().unwrap();
+                        }
+                        if let Some(out) = session.step(&mut net).unwrap() {
+                            return (out.delivered, out.report, *net.stats());
+                        }
+                    }
+                    unreachable!()
+                };
+                let whole = run(None);
+                assert!(whole.1.rounds > 2, "{mode:?}: more than one pack");
+                assert_eq!(whole.1.decode_failures, 0, "{mode:?}");
+                for stop in [1, 2] {
+                    assert_eq!(
+                        run(Some(stop)),
+                        whole,
+                        "{mode:?}, event_driven {event_driven}: restored after step {stop}"
+                    );
+                }
+            }
+        }
     }
 }

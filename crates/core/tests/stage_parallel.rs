@@ -1,7 +1,7 @@
 //! Bit-identity, edge-case, and determinism tests for the stage-parallel
 //! routing engines (PR 5):
 //!
-//! * parallel `route_unit` / `route_coverfree` == the `_serial` oracles —
+//! * parallel `route` == `route` with `parallel: false` on both plans —
 //!   delivered payloads, report, and every network stat — across backends
 //!   (instances small enough to auto-densify and large-sparse ones), random
 //!   α, and an active adaptive adversary;
@@ -12,15 +12,13 @@
 //! * a `Network::set_alpha` that raises the fault budget mid-session is
 //!   refused (`Infeasible`) instead of silently undershooting the decode
 //!   radius;
-//! * a cross-run golden pinning the engine's exact wire behavior — the same
+//! * cross-run goldens pinning both plans' exact wire behavior — the same
 //!   nondeterminism class as the PR 4 LDC `fetch_instance` bug would show up
 //!   here as a process-dependent round or bit count.
 
 use bdclique_adversary::adaptive::GreedyLoad;
 use bdclique_adversary::Payload;
 use bdclique_bits::BitVec;
-use bdclique_core::routing::coverfree::{route_coverfree, route_coverfree_serial};
-use bdclique_core::routing::unit::{route_unit, route_unit_serial};
 use bdclique_core::routing::{
     route, RouteSession, RouterConfig, RoutingInstance, RoutingMode, RoutingOutput, SuperMessage,
 };
@@ -56,6 +54,27 @@ fn random_instance(n: usize, k: usize, payload_bits: usize, seed: u64) -> Routin
     }
 }
 
+/// `k` messages per source; message `(u, j)` targets `(u + 9·j + 1 + seed)
+/// mod n`, so every node is the target of exactly `k` messages — the
+/// multiplicity at which the cover-free margin holds against budget 1 at
+/// n = 256.
+fn ring_instance(n: usize, k: usize, payload_bits: usize, seed: u64) -> RoutingInstance {
+    let shift = seed as usize % n;
+    RoutingInstance {
+        n,
+        payload_bits,
+        messages: (0..n)
+            .flat_map(|u| (0..k).map(move |j| (u, j)))
+            .map(|(u, j)| SuperMessage {
+                src: u,
+                slot: j,
+                payload: BitVec::from_fn(payload_bits, |i| (i * 7 + u + 3 * j + shift) % 5 < 2),
+                targets: vec![(u + 9 * j + 1 + shift) % n],
+            })
+            .collect(),
+    }
+}
+
 fn attacked_net(n: usize, alpha: f64, seed: u64) -> Network {
     if alpha == 0.0 {
         Network::new(n, 18, 0.0, Adversary::none())
@@ -66,6 +85,14 @@ fn attacked_net(n: usize, alpha: f64, seed: u64) -> Network {
             alpha,
             Adversary::adaptive(GreedyLoad::new(Payload::Flip, seed)),
         )
+    }
+}
+
+/// `cfg` with the parallel fan-out switched off: the bit-identity oracle.
+fn serial(cfg: &RouterConfig) -> RouterConfig {
+    RouterConfig {
+        parallel: false,
+        ..cfg.clone()
     }
 }
 
@@ -115,8 +142,8 @@ proptest! {
 
         let mut net_par = attacked_net(n, alpha, seed ^ 0xad);
         let mut net_ser = attacked_net(n, alpha, seed ^ 0xad);
-        let par = route_unit(&mut net_par, &inst, &cfg);
-        let ser = route_unit_serial(&mut net_ser, &inst, &cfg);
+        let par = route(&mut net_par, &inst, &cfg);
+        let ser = route(&mut net_ser, &inst, &serial(&cfg));
         match (par, ser) {
             (Ok(par), Ok(ser)) => prop_assert_eq!(
                 fingerprint(&net_par, &par),
@@ -127,27 +154,35 @@ proptest! {
         }
     }
 
-    /// Same contract for the cover-free engine.
+    /// Same contract for the cover-free engine: fault-free on random
+    /// instances, and under an adaptive flipper at n = 256 on ring-shaped
+    /// instances whose multiplicity `k` keeps the cover-free margin valid.
     #[test]
     fn coverfree_parallel_matches_serial(
         seed in 0u64..300,
-        n_idx in 0usize..2,
+        n_idx in 0usize..3,
         k in 1usize..3,
         payload_bits in 1usize..64,
     ) {
-        let n = [64usize, 128][n_idx];
-        let inst = random_instance(n, k, payload_bits, seed);
+        let n = [64usize, 128, 256][n_idx];
+        let (inst, alpha) = if n == 256 {
+            (ring_instance(n, k, payload_bits, seed), 1.2 / n as f64)
+        } else {
+            (random_instance(n, k, payload_bits, seed), 0.0)
+        };
         let cfg = RouterConfig { mode: RoutingMode::CoverFree, ..Default::default() };
-        let mut net_par = attacked_net(n, 0.0, seed);
-        let mut net_ser = attacked_net(n, 0.0, seed);
-        let par = route_coverfree(&mut net_par, &inst, &cfg);
-        let ser = route_coverfree_serial(&mut net_ser, &inst, &cfg);
+        let mut net_par = attacked_net(n, alpha, seed);
+        let mut net_ser = attacked_net(n, alpha, seed);
+        let par = route(&mut net_par, &inst, &cfg);
+        let ser = route(&mut net_ser, &inst, &serial(&cfg));
         match (par, ser) {
             (Ok(par), Ok(ser)) => prop_assert_eq!(
                 fingerprint(&net_par, &par),
                 fingerprint(&net_ser, &ser)
             ),
-            (Err(CoreError::Infeasible { .. }), Err(CoreError::Infeasible { .. })) => {}
+            (Err(CoreError::Infeasible { .. }), Err(CoreError::Infeasible { .. })) => {
+                prop_assert!(n != 256, "the attacked ring cases must be feasible");
+            }
             (par, ser) => prop_assert!(false, "feasibility diverged: {par:?} vs {ser:?}"),
         }
     }
@@ -170,7 +205,7 @@ proptest! {
         let delta = inst.max_source_multiplicity().max(inst.max_target_multiplicity());
         let mut net = Network::new(n, 9, 0.0, Adversary::none());
         let cfg = RouterConfig { mode: RoutingMode::Unit, ..Default::default() };
-        let out = route_unit(&mut net, &inst, &cfg).unwrap();
+        let out = route(&mut net, &inst, &cfg).unwrap();
         prop_assert!(
             out.report.stages < 2 * delta,
             "{} stages > 2·{} − 1", out.report.stages, delta
@@ -275,7 +310,7 @@ fn raised_budget_mid_session_is_refused() {
 /// pinned to literal values, so any latent dependence on hash iteration
 /// order (the PR 4 LDC `fetch_instance` bug class) fails this test in some
 /// process instead of shipping silently. Captured from the stage-parallel
-/// engine; `route_unit_serial` must reproduce it exactly.
+/// engine; the serial path must reproduce it exactly.
 #[test]
 fn unit_engine_cross_run_golden() {
     let n = 16;
@@ -284,9 +319,9 @@ fn unit_engine_cross_run_golden() {
         mode: RoutingMode::Unit,
         ..Default::default()
     };
-    for route_fn in [route_unit, route_unit_serial] {
+    for cfg in [cfg.clone(), serial(&cfg)] {
         let mut net = attacked_net(n, 1.2 / n as f64, 0xfeed);
-        let out = route_fn(&mut net, &inst, &cfg).unwrap();
+        let out = route(&mut net, &inst, &cfg).unwrap();
         let (rounds, bits, frames, corrupted, stages, failures, payload) = fingerprint(&net, &out);
         assert_eq!(
             (rounds, bits, frames, corrupted, stages, failures),
@@ -307,3 +342,38 @@ fn unit_engine_cross_run_golden() {
 /// decode_failures, payload_fnv)` — see `unit_engine_cross_run_golden`.
 const GOLDEN: (u64, u64, u64, u64, usize, usize, u64) =
     (8, 14040, 780, 28, 7, 0, 17136331767548729117);
+
+/// The cover-free twin of `unit_engine_cross_run_golden`: an attacked,
+/// multi-chunk, multi-pack case where the margin holds (n = 256, k = 2,
+/// budget 1, adaptive flipper), pinned on the parallel and serial paths.
+#[test]
+fn coverfree_engine_cross_run_golden() {
+    let n = 256;
+    let inst = ring_instance(n, 2, 480, 0);
+    for parallel in [true, false] {
+        let cfg = RouterConfig {
+            mode: RoutingMode::CoverFree,
+            parallel,
+            ..Default::default()
+        };
+        let mut net = attacked_net(n, 1.2 / n as f64, 0xcf);
+        let out = route(&mut net, &inst, &cfg).unwrap();
+        assert!(out.report.chunks > 2, "multi-pack: chunks > lanes");
+        let (rounds, bits, frames, corrupted, stages, failures, payload) = fingerprint(&net, &out);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in payload {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        assert_eq!(
+            (rounds, bits, frames, corrupted, stages, failures, h),
+            CF_GOLDEN,
+            "cover-free wire behavior diverged from the pinned golden"
+        );
+    }
+}
+
+/// `(rounds, bits_sent, frames_sent, edges_corrupted, stages,
+/// decode_failures, payload_fnv)` — see `coverfree_engine_cross_run_golden`.
+const CF_GOLDEN: (u64, u64, u64, u64, usize, usize, u64) =
+    (6, 1447524, 80418, 762, 1, 0, 17057166593781662789);

@@ -38,7 +38,7 @@ pub const MAGIC: [u8; 4] = *b"BDCS";
 
 /// Current snapshot format version. Bump on any layout change; [`Dec`]
 /// rejects mismatched versions instead of misparsing them.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Decode failure: the bytes do not describe a valid snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
